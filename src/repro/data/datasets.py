@@ -80,6 +80,12 @@ class DownscalingDataset:
     Samples are generated lazily and deterministically from the world
     seed, standing in for the real data loader.  ``fit_normalizer`` must
     be called (or a normalizer passed) before batches are produced.
+
+    The training readers (``fit_normalizer`` and ``batches``) generate
+    each raw pair once and keep it for later epochs: at most one pair per
+    index of the split.  ``raw_pair`` regenerates on every call and never
+    fills that memo, so one-pass readers (serving set-up, export) hold
+    nothing beyond what they use.
     """
 
     def __init__(self, spec: DatasetSpec, years: tuple[int, ...],
@@ -94,6 +100,7 @@ class DownscalingDataset:
         self.normalizer = normalizer
         self.target_normalizer = target_normalizer
         self._keys = [(y, i) for y in self.years for i in range(spec.samples_per_year)]
+        self._pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -109,6 +116,13 @@ class DownscalingDataset:
         return self.world.paired_sample(year, index, self.spec.factor,
                                         self.output_channels)
 
+    def _pair(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """``raw_pair(idx)``, generated on first use; callers must not write to it."""
+        pair = self._pairs.get(idx)
+        if pair is None:
+            pair = self._pairs[idx] = self.raw_pair(idx)
+        return pair
+
     def fit_normalizer(self, n_samples: int = 4) -> ChannelNormalizer:
         """Estimate input AND target channel statistics from early samples.
 
@@ -117,16 +131,25 @@ class DownscalingDataset:
         back to physical units for evaluation.
         """
         n = min(n_samples, len(self))
-        pairs = [self.raw_pair(i) for i in range(n)]
+        pairs = [self._pair(i) for i in range(n)]
         self.normalizer = ChannelNormalizer.fit(np.stack([p[0] for p in pairs]))
         self.target_normalizer = ChannelNormalizer.fit(np.stack([p[1] for p in pairs]))
         return self.normalizer
 
     def batches(self, batch_size: int, shuffle: bool = False,
                 rng: np.random.Generator | None = None) -> Iterator[Batch]:
-        """Yield normalized batches; optionally shuffled per epoch."""
+        """Yield normalized batches; optionally shuffled per epoch.
+
+        Arguments are checked here, before the first batch is requested.
+        """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if self.normalizer is None or self.target_normalizer is None:
             raise RuntimeError("call fit_normalizer() first (or pass both in)")
+        return self._batches(batch_size, shuffle, rng)
+
+    def _batches(self, batch_size: int, shuffle: bool,
+                 rng: np.random.Generator | None) -> Iterator[Batch]:
         order = np.arange(len(self))
         if shuffle:
             (rng or np.random.default_rng(0)).shuffle(order)
@@ -134,7 +157,7 @@ class DownscalingDataset:
             chunk = order[start : start + batch_size]
             xs, ys, ys_raw, keys = [], [], [], []
             for idx in chunk:
-                x, y = self.raw_pair(int(idx))
+                x, y = self._pair(int(idx))
                 xs.append(self.normalizer.normalize(x))
                 ys.append(self.target_normalizer.normalize(y))
                 ys_raw.append(y)

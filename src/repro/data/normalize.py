@@ -49,6 +49,9 @@ class ChannelNormalizer:
         return (z * self.std[:, None, None] + self.mean[:, None, None]).astype(np.float32)
 
     def _check(self, x: np.ndarray) -> None:
+        if x.ndim < 3:
+            raise ValueError(f"expected an array shaped (..., C, H, W) with "
+                             f"C={self.mean.shape[0]}, got shape {x.shape}")
         if x.shape[-3] != self.mean.shape[0]:
             raise ValueError(f"channel dim {x.shape[-3]} != fitted {self.mean.shape[0]}")
 

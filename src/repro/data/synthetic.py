@@ -21,6 +21,8 @@ problem ORBIT-2 solves.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .grids import Grid, coarsen
@@ -29,6 +31,19 @@ from .variables import INPUT_VARIABLES, Variable
 __all__ = ["gaussian_random_field", "ClimateWorld", "LAPSE_RATE_K_PER_M"]
 
 LAPSE_RATE_K_PER_M = 6.5e-3  # standard atmosphere lapse rate
+
+
+@lru_cache(maxsize=64)
+def _spectral_amplitude(h: int, w: int, slope: float) -> np.ndarray:
+    """The ``k^(-slope/2)`` amplitude grid with a zeroed mean mode (read-only)."""
+    ky = np.fft.fftfreq(h)[:, None]
+    kx = np.fft.fftfreq(w)[None, :]
+    k = np.sqrt(ky * ky + kx * kx)
+    k[0, 0] = 1.0  # avoid div-by-zero at the mean mode
+    amplitude = k ** (-slope / 2.0)
+    amplitude[0, 0] = 0.0  # zero mean
+    amplitude.setflags(write=False)
+    return amplitude
 
 
 def gaussian_random_field(
@@ -44,14 +59,8 @@ def gaussian_random_field(
     field continuous across the dateline (global grids).
     """
     h, w = shape
-    ky = np.fft.fftfreq(h)[:, None]
-    kx = np.fft.fftfreq(w)[None, :]
-    k = np.sqrt(ky * ky + kx * kx)
-    k[0, 0] = 1.0  # avoid div-by-zero at the mean mode
-    amplitude = k ** (-slope / 2.0)
-    amplitude[0, 0] = 0.0  # zero mean
     noise = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
-    field = np.real(np.fft.ifft2(noise * amplitude))
+    field = np.real(np.fft.ifft2(noise * _spectral_amplitude(h, w, slope)))
     if not periodic_lon:
         # break the artificial periodicity by windowing a larger field
         pad = max(2, w // 8)
@@ -134,6 +143,10 @@ class ClimateWorld:
         rng = self._sample_rng(year, index)
         h, w = self.fine_grid.shape
         season = 2 * np.pi * (index / max(self.samples_per_year, 1))
+        # channel-independent terms, computed once per sample
+        merid0 = self._meridional - self._meridional.mean()
+        oro_term = -LAPSE_RATE_K_PER_M * self.orography
+        enh = 1.0 + 0.4 * self.orography / (self.orography.max() + 1e-6)
         out = np.empty((len(self.variables), h, w), dtype=np.float32)
         for c, v in enumerate(self.variables):
             if v.kind == "static":
@@ -144,13 +157,11 @@ class ClimateWorld:
             if v.name.startswith(("temperature", "t2m", "tmin")):
                 # meridional gradient + orographic cooling + seasonal cycle
                 anom = field * v.scale * 0.3
-                merid = (self._meridional - self._meridional.mean()) * v.scale * 1.5
-                oro_term = -LAPSE_RATE_K_PER_M * self.orography
+                merid = merid0 * v.scale * 1.5
                 seasonal = np.float32(0.25 * v.scale * np.sin(season))
                 out[c] = v.base + merid + anom + oro_term + seasonal
             elif v.positive:
                 # skewed positive field with orographic enhancement
-                enh = 1.0 + 0.4 * self.orography / (self.orography.max() + 1e-6)
                 out[c] = v.scale * np.expm1(np.clip(field, -4, 4) * 0.8) * enh
                 out[c] = np.maximum(out[c], 0.0)
             else:

@@ -60,6 +60,8 @@ class Trainer:
     def __init__(self, model: Module, dataset: DownscalingDataset,
                  config: TrainConfig, val_dataset: DownscalingDataset | None = None,
                  compile: bool = False, monitor=None):
+        if config.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
         self.model = model
         self.dataset = dataset
         self.val_dataset = val_dataset

@@ -80,6 +80,14 @@ class TestChannelNormalizer:
         with pytest.raises(ValueError):
             norm.normalize(np.zeros((2, 4, 4)))
 
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 4)])
+    def test_fewer_than_three_dims_raises(self, shape):
+        norm = ChannelNormalizer(np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match=r"\(\.\.\., C, H, W\)"):
+            norm.normalize(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"\(\.\.\., C, H, W\)"):
+            norm.denormalize(np.zeros(shape))
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ChannelNormalizer(np.zeros(3), np.zeros(3))  # zero std
@@ -156,3 +164,77 @@ class TestDownscalingDataset:
 
     def test_coarse_grid_property(self):
         assert _spec().coarse_grid.shape == (4, 8)
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        ds = DownscalingDataset(_spec(), years=(2000,))
+        ds.fit_normalizer()
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            ds.batches(batch_size)
+
+
+def _fresh_batches(ds, batch_size, order):
+    """Batches assembled the way ``batches`` does, from uncached ``raw_pair``."""
+    out = []
+    for start in range(0, len(order), batch_size):
+        pairs = [ds.raw_pair(int(i)) for i in order[start:start + batch_size]]
+        out.append((np.stack([ds.normalizer.normalize(x) for x, _ in pairs]),
+                    np.stack([ds.target_normalizer.normalize(y) for _, y in pairs]),
+                    np.stack([y for _, y in pairs])))
+    return out
+
+
+class TestPairMemo:
+    """The training readers generate each raw pair once per dataset."""
+
+    def test_shuffled_epochs_match_fresh_generation(self):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        ds.fit_normalizer()
+        for epoch in range(3):
+            order = np.arange(len(ds))
+            np.random.default_rng(epoch).shuffle(order)
+            got = list(ds.batches(4, shuffle=True, rng=np.random.default_rng(epoch)))
+            want = _fresh_batches(ds, 4, order)
+            assert [k for b in got for k in b.keys] == [ds._keys[i] for i in order]
+            assert len(got) == len(want)
+            for b, ref in zip(got, want):
+                for a, r in zip((b.inputs, b.targets, b.targets_raw), ref):
+                    assert a.dtype == r.dtype and a.shape == r.shape
+                    assert a.tobytes() == r.tobytes()
+
+    def test_each_pair_generated_once(self, monkeypatch):
+        ds = DownscalingDataset(_spec(), years=(2000, 2001))
+        calls = []
+        real = ds.world.paired_sample
+
+        def counting(year, index, *args, **kw):
+            calls.append((year, index))
+            return real(year, index, *args, **kw)
+
+        monkeypatch.setattr(ds.world, "paired_sample", counting)
+        ds.fit_normalizer()
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for _ in ds.batches(4, shuffle=True, rng=rng):
+                pass
+        assert sorted(calls) == sorted(ds._keys)
+
+    def test_batch_writes_do_not_reach_later_epochs(self):
+        ds = DownscalingDataset(_spec(), years=(2000,))
+        ds.fit_normalizer()
+        first = list(ds.batches(2))
+        want = [(b.inputs.copy(), b.targets.copy(), b.targets_raw.copy()) for b in first]
+        for b in first:
+            b.inputs[...] = np.nan
+            b.targets[...] = np.nan
+            b.targets_raw[...] = np.nan
+        for b, (x, y, y_raw) in zip(ds.batches(2), want):
+            np.testing.assert_array_equal(b.inputs, x)
+            np.testing.assert_array_equal(b.targets, y)
+            np.testing.assert_array_equal(b.targets_raw, y_raw)
+
+    def test_raw_pair_does_not_fill_memo(self):
+        ds = DownscalingDataset(_spec(), years=(2000,))
+        for i in range(len(ds)):
+            ds.raw_pair(i)
+        assert ds._pairs == {}

@@ -72,6 +72,11 @@ class TestTrainer:
         # after warmup the lr must have moved off the warmup ramp start
         assert trainer.optimizer.lr != 1e-2 * 1 / 2
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            Trainer(_model(), _dataset(), TrainConfig(epochs=1, batch_size=batch_size))
+
     def test_evaluate_no_grad_side_effects(self):
         trainer = Trainer(_model(), _dataset(), TrainConfig(epochs=1))
         loss = trainer.evaluate()
