@@ -2,44 +2,29 @@
 
 :class:`DownscalingService` turns the bare ``predict_dataset`` loop into
 a *system*: requests arrive on a simulated clock, a dynamic batcher
-coalesces them under a max-batch/max-wait policy, an LRU tile cache
+coalesces work under a max-batch/max-wait policy, an LRU cache
 short-circuits repeat coarse inputs by content hash, and N model
 replicas — each owning a contiguous slice of the virtual cluster —
-serve batches in parallel.  Everything runs as a deterministic
-discrete-event simulation: *time* is modeled (dispatch overhead +
-per-sample roofline inference time, the same pricing family as
-``repro.distributed.perf_model``), while *outputs* are real — each
-request's coarse field goes through the actual model.
+serve batches in parallel.  It all runs as one deterministic
+discrete-event loop over *units* of work: a whole request is one unit,
+a tile-served request one unit per halo tile.  *Time* is modeled
+(dispatch overhead + roofline inference time, as in
+``repro.distributed.perf_model``); *outputs* are real.
 
 **Determinism contract.**  Served outputs are bit-identical to a direct
-:func:`repro.train.predict_dataset` pass over the same inputs,
-regardless of how requests were batched, cached, or placed on replicas:
-
-* a coalesced batch executes its members through the same per-sample
-  kernel path as ``predict_dataset`` (the engine is batch-invariant;
-  ``tests/serve`` pins this), so coalescing is a *scheduling* decision
-  with zero numeric footprint — its payoff, amortized dispatch
-  overhead, lives entirely in the modeled timeline;
-* the cache stores frozen copies keyed by content hash, so a hit
-  returns exactly the bytes a miss would have computed;
-* replicas share one set of weights, so placement cannot matter.
-
-That contract is what makes the layer testable: the equivalence suite
-asserts bitwise equality over the full scenario × replica × cache grid.
-
-Instrumentation is first-class ``repro.obs``: per-request latency and
-queue-wait histograms (p50/p99 in the metrics dump), queue depth
-sampled at every arrival, cache hit-rate, and per-replica utilization —
-plus trace spans (one ``serve/replica`` root per replica covering the
-run, one ``serve/batch`` child per dispatch) that export to the same
-Perfetto-loadable Chrome format as training traces, and whose coverage
-reproduces the utilization gauges exactly (the metrics-contract tests
-gate this).
+:func:`repro.train.predict_dataset` pass over the same inputs, however
+they were batched, cached, coalesced or placed: the engine is
+batch-invariant, the cache stores frozen bytes keyed by content, tile
+reassembly transcribes ``stitch_tiles``, replicas share one set of
+weights.  Instrumentation is ``repro.obs``: latency/queue histograms,
+hit rates, utilization gauges, and ``serve/replica`` > ``serve/batch``
+spans whose coverage reproduces those gauges exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,16 +223,15 @@ class DownscalingService:
         ``predict_dataset`` does (pass the dataset's).
     n_tiles / halo / factor / coarse_shape:
         Tiled-inference configuration, validated up front through
-        :func:`repro.train.build_inference_runner`.
+        :func:`repro.train.build_inference_runner`.  With
+        ``coarse_shape``, :meth:`run` rejects inputs not ``(C, h, w)``.
     tile_serving:
-        Make the *tile* the unit of serving: requests are split into
-        halo tiles at admission, the cache is keyed per tile (content
-        hash over the halo-extended region + crop geometry + plan
-        epoch), and only missed tiles are recomputed — coalesced
-        across requests into shared per-signature batches.  Requires
-        ``n_tiles >= 2`` and ``coarse_shape``.  Outputs stay bitwise
-        identical to the whole-request path (the reassembly transcribes
-        ``stitch_tiles`` exactly).
+        Make the *tile* the unit of work: each request becomes one unit
+        per halo tile, keyed per tile (halo-region content hash + crop
+        geometry + plan epoch); only missed tiles are recomputed,
+        coalesced across requests into per-signature batches.  Needs
+        ``n_tiles >= 2`` and ``coarse_shape``; outputs stay bitwise
+        identical to the whole-request path.
     plan_epoch:
         Starting epoch folded into every tile key;
         :meth:`bump_plan_epoch` (call it after a reshard / weight swap)
@@ -317,6 +301,8 @@ class DownscalingService:
                 model, n_tiles=n_tiles, halo=halo, factor=factor,
                 coarse_shape=coarse_shape, compile=compile)
         self._target_normalizer = target_normalizer
+        self.coarse_shape = (None if coarse_shape is None else
+                             (int(coarse_shape[0]), int(coarse_shape[1])))
         if service_time is not None:
             self.service_time = service_time
         elif config is not None:
@@ -343,28 +329,22 @@ class DownscalingService:
                                             int(plan_factor))
             if hasattr(service_time, "tile_time"):
                 self.tile_service_time = service_time
-            elif config is not None:
+            else:
+                # the per-tile roofline of ``config``; without one, the
+                # request-level model (or the generic default) scaled by
+                # tile area
+                plain = service_time if config is None else None
                 self.tile_service_time = tile_service_time_model(
                     config, coarse_shape=self.tile_plan.coarse_shape,
                     n_tiles=n_tiles, halo=halo,
                     tokens_per_sample=tokens_per_sample,
                     gpus_per_replica=self.gpus_per_replica,
-                    topology=self.cluster.topology)
-            else:
-                # derive per-tile pricing from whatever request-level
-                # model was supplied (or the generic default)
-                base = service_time if service_time is not None \
-                    else DEFAULT_SERVICE_TIME
-                self.tile_service_time = tile_service_time_model(
-                    None, coarse_shape=self.tile_plan.coarse_shape,
-                    n_tiles=n_tiles, halo=halo,
-                    per_sample_s=getattr(base, "per_sample_s",
-                                         DEFAULT_SERVICE_TIME.per_sample_s),
-                    dispatch_s=getattr(base, "dispatch_s",
-                                       SERVE_DISPATCH_S))
+                    topology=self.cluster.topology,
+                    per_sample_s=getattr(plain, "per_sample_s", None),
+                    dispatch_s=getattr(plain, "dispatch_s", SERVE_DISPATCH_S))
 
     # ------------------------------------------------------------------ #
-    # replica layout
+    # replica layout and whole-request execution
     # ------------------------------------------------------------------ #
     def replica_ranks(self, replica: int) -> list[int]:
         g = self.gpus_per_replica
@@ -373,9 +353,6 @@ class DownscalingService:
     def home_rank(self, replica: int) -> int:
         return replica * self.gpus_per_replica
 
-    # ------------------------------------------------------------------ #
-    # execution (real outputs; the per-sample predict_dataset pipeline)
-    # ------------------------------------------------------------------ #
     def _execute(self, x: np.ndarray) -> np.ndarray:
         with no_grad():
             pred = self._runner(Tensor(x[None])).data
@@ -384,15 +361,6 @@ class DownscalingService:
                              for p in pred])
         return pred[0]
 
-    @staticmethod
-    def _key(req: Request) -> str:
-        if req.input is not None:
-            return content_key(req.input)
-        return f"sample:{req.sample}"
-
-    # ------------------------------------------------------------------ #
-    # tile-granular serving helpers
-    # ------------------------------------------------------------------ #
     def bump_plan_epoch(self) -> int:
         """Invalidate every tile key — call after a reshard/weight swap.
 
@@ -403,37 +371,18 @@ class DownscalingService:
         self.plan_epoch += 1
         return self.plan_epoch
 
-    def _execute_tile(self, x: np.ndarray, i: int) -> np.ndarray:
-        """One tile forward, exactly as :class:`TiledDownscaler` runs it:
-        slice the halo-extended region, run the *inner* model (the
-        compiled per-tile program when ``compile=True``), crop the core.
-        Returns the frozen normalized core the cache stores."""
-        spec = self.tile_plan.specs[i]
-        with no_grad():
-            out = self._runner.model(extract_tile(Tensor(x[None]), spec)).data
-        return self.tile_plan.crop_core(out, i)
-
-    def _assemble(self, cores: list[np.ndarray]) -> np.ndarray:
-        """Reassemble cached/computed cores into the served output.
-
-        Mirrors :meth:`_execute` operation for operation — concatenate
-        normalized cores (the same ``stitch_tiles`` arithmetic), then
-        denormalize the assembled field — so the bytes match a
-        whole-request forward regardless of which tiles were hits.
-        """
-        pred = self.tile_plan.assemble(cores)
-        if self._target_normalizer is not None:
-            pred = self._target_normalizer.denormalize(pred)
-        return pred
-
     # ------------------------------------------------------------------ #
     # the discrete-event loop
     # ------------------------------------------------------------------ #
     def run(self, requests: list[Request], monitor=None) -> ServeResult:
         """Serve every request; returns responses + spans + metrics.
 
-        Deterministic: the same request list on the same service
-        configuration produces the identical result, event for event.
+        The loop owns what both modes share — events, autoscaling,
+        admission, dispatch by signature, fan-out of completed units to
+        waiting requests, close-out — and asks the mode's front end
+        (:class:`_Requests` or :class:`_Tiles`) the rest.  Inputs that
+        are not ``(C, *coarse_shape)`` or not finite raise ``ValueError``
+        before any event runs.  Deterministic, event for event.
 
         ``monitor`` (a :class:`repro.obs.monitor.Monitor`) receives the
         health stream on the simulated clock: per-request latency
@@ -442,19 +391,21 @@ class DownscalingService:
         autoscaler's decisions — so SLO-burn/queue/shed rules evaluate
         at deterministic timestamps and replay bitwise.
         """
-        if self.tile_plan is not None:
-            return self._run_tiled(requests, monitor)
         clock = SimClock.frozen()
         metrics = MetricsRegistry()
         spans: list[Span] = []
-        responses: dict[int, Response] = {}
-        pending: list[Request] = []          # FIFO queue of cache misses
+        front = (_Tiles if self.tile_plan is not None else _Requests)(
+            self, metrics, spans, monitor)
+        cache, policy = self.cache, self.policy
+        responses: dict[int, Response | None] = {}
+        pending: list[_Unit] = []           # FIFO queue of units to compute
+        open_units: dict[str, _Unit] = {}   # key -> unit queued or in flight
+        assemblies: dict[int, _Assembly] = {}  # rid -> request awaiting units
         busy_s = [0.0] * self.n_replicas
         # authoritative replica frontiers: plain floats so the idle check
         # compares bit-exactly against completion-event timestamps (the
         # SimClock mirrors them for the per-rank trace timelines)
         free = [0.0] * self.n_replicas
-        batches = 0
         # autoscaling state: which replicas are active, when each active
         # window opened (for replica-seconds accounting), last scale time
         start_active = (self.autoscale.min_replicas
@@ -465,300 +416,61 @@ class DownscalingService:
         last_scale = float("-inf")
 
         heap: list[tuple[float, int, int, object]] = []
-        seq = 0
+        seq = itertools.count()     # FIFO among equal (time, kind)
 
         def push(t: float, kind: int, payload) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, kind, seq, payload))
-            seq += 1
+            heapq.heappush(heap, (t, kind, next(seq), payload))
 
+        shape, checked = self.coarse_shape, set()
         for req in sorted(requests, key=lambda r: (r.arrival_s, r.rid)):
             if req.rid in responses:
                 raise ValueError(f"duplicate request id {req.rid}")
+            x = req.input
+            # fail at the boundary: a wrong grid would be cropped silently
+            # by the tile slices, a non-finite field served and cached
+            if x is not None and id(x) not in checked:
+                checked.add(id(x))
+                if shape is not None and (x.ndim != 3
+                                          or x.shape[1:] != shape):
+                    raise ValueError(f"request {req.rid}: input shape "
+                                     f"{x.shape} is not (C, {shape[0]}, "
+                                     f"{shape[1]})")
+                if not np.isfinite(x).all():
+                    raise ValueError(f"request {req.rid}: input has "
+                                     f"non-finite values")
             responses[req.rid] = None  # reserve; filled on completion
             push(req.arrival_s, _ARRIVAL, req)
 
-        def free_at(replica: int) -> float:
-            return free[replica]
-
         def maybe_scale_up(now: float) -> None:
-            au = self.autoscale
-            if au is None:
-                return
             nonlocal last_scale
-            n_act = sum(active)
-            if (n_act < self.n_replicas
-                    and len(pending) >= au.scale_up_depth * n_act
-                    and now - last_scale >= au.cooldown_s):
-                r = active.index(False)
-                active[r] = True
-                # the new replica is usable after the modeled downtime of
-                # remapping the shared weights onto its ranks
-                free[r] = max(free[r], now + au.spinup_s)
-                window_open[r] = now
-                last_scale = now
-                metrics.inc("serve/scale_up")
-                if monitor is not None:
-                    monitor.event("scale_up", t=now, replica=r,
-                                  queue_depth=len(pending),
-                                  active=sum(active))
-                spans.append(Span(
-                    name="serve/scale_up", cat="serve",
-                    rank=self.home_rank(r), start_s=now, dur_s=au.spinup_s,
-                    depth=1, args={"replica": r, "queue_depth": len(pending),
-                                   "modeled": True}))
-                push(now + au.spinup_s, _DEADLINE, None)
-
-        def maybe_scale_down(now: float) -> None:
             au = self.autoscale
-            if au is None or pending:
+            if (au is None or (n_act := sum(active)) == self.n_replicas
+                    or len(pending) < au.scale_up_depth * n_act
+                    or now - last_scale < au.cooldown_s):
                 return
-            nonlocal last_scale
-            if sum(active) <= au.min_replicas or now - last_scale < au.cooldown_s:
-                return
-            for r in reversed(range(self.n_replicas)):
-                if active[r] and free_at(r) <= now:
-                    active[r] = False
-                    replica_seconds[r] += now - window_open.pop(r)
-                    last_scale = now
-                    metrics.inc("serve/scale_down")
-                    if monitor is not None:
-                        monitor.event("scale_down", t=now, replica=r,
-                                      active=sum(active))
-                    break
-
-        def try_dispatch(now: float) -> None:
-            nonlocal batches
-            while pending:
-                idle = [r for r in range(self.n_replicas)
-                        if active[r] and free_at(r) <= now]
-                if not idle:
-                    return
-                full = len(pending) >= self.policy.max_batch
-                # the deadline event was scheduled at exactly
-                # arrival + max_wait_s, so this comparison is exact
-                due = pending[0].arrival_s + self.policy.max_wait_s <= now
-                if not (full or due):
-                    return
-                batch = pending[: self.policy.max_batch]
-                del pending[: len(batch)]
-                replica = idle[0]
-                dur = float(self.service_time(len(batch)))
-                if dur < 0.0:
-                    raise ValueError("service_time returned a negative duration")
-                end = now + dur
-                free[replica] = end
-                for rank in self.replica_ranks(replica):
-                    clock.advance(rank, max(0.0, end - clock.now(rank)))
-                busy_s[replica] += dur
-                batches += 1
-                metrics.inc("serve/batches")
-                metrics.inc(f"serve/replica/{replica}/batches")
-                metrics.observe("serve/batch_size", len(batch))
-                spans.append(Span(
-                    name="serve/batch", cat="serve",
-                    rank=self.home_rank(replica), start_s=now, dur_s=dur,
-                    depth=1,
-                    args={"replica": replica, "batch_size": len(batch),
-                          "rids": [r.rid for r in batch], "modeled": True}))
-                outputs = None
-                if self._runner is not None:
-                    outputs = [self._execute(r.input) for r in batch]
-                push(end, _COMPLETE, (replica, batch, now, outputs))
-
-        def respond(req: Request, dispatch_s: float, complete_s: float,
-                    replica: int | None, batch_size: int, cache_hit: bool,
-                    output) -> None:
-            responses[req.rid] = Response(
-                request=req, dispatch_s=dispatch_s, complete_s=complete_s,
-                replica=replica, batch_size=batch_size, cache_hit=cache_hit,
-                output=output)
-            metrics.inc("serve/requests")
-            metrics.observe("serve/latency_s", complete_s - req.arrival_s)
-            metrics.observe("serve/queue_wait_s", dispatch_s - req.arrival_s)
+            r = active.index(False)
+            active[r] = True
+            # the new replica is usable after the modeled downtime of
+            # remapping the shared weights onto its ranks
+            free[r] = max(free[r], now + au.spinup_s)
+            window_open[r] = now
+            last_scale = now
+            metrics.inc("serve/scale_up")
             if monitor is not None:
-                monitor.record("serve/latency_s", complete_s - req.arrival_s,
-                               t=complete_s)
-
-        duration = 0.0
-        while heap:
-            now, kind, _, payload = heapq.heappop(heap)
-            duration = max(duration, now)
-            if kind == _COMPLETE:
-                replica, batch, start, outputs = payload
-                for i, req in enumerate(batch):
-                    output = outputs[i] if outputs is not None else None
-                    if self.cache is not None:
-                        evicted_before = self.cache.evictions
-                        self.cache.put(self._key(req), output)
-                        metrics.inc("serve/cache/evictions",
-                                    self.cache.evictions - evicted_before)
-                    respond(req, start, now, replica, len(batch),
-                            cache_hit=False, output=output)
-            elif kind == _ARRIVAL:
-                req = payload
-                shed_this = 0.0
-                hit = _MISS_SENTINEL
-                if self.cache is not None:
-                    hit = self.cache.get(self._key(req), _MISS_SENTINEL)
-                    if hit is _MISS_SENTINEL:
-                        metrics.inc("serve/cache/misses")
-                    else:
-                        metrics.inc("serve/cache/hits")
-                if hit is not _MISS_SENTINEL:
-                    end = now + self.hit_latency_s
-                    duration = max(duration, end)
-                    respond(req, now, end, None, 1, cache_hit=True,
-                            output=hit)
-                elif (self.max_queue_depth is not None
-                      and len(pending) >= self.max_queue_depth):
-                    # admission control: the queue is full — shed rather
-                    # than let it (and tail latency) grow without bound.
-                    # Shed responses stay out of the latency histograms so
-                    # rejections can't masquerade as fast service.
-                    metrics.inc("serve/shed")
-                    metrics.inc("serve/requests")
-                    shed_this = 1.0
-                    responses[req.rid] = Response(
-                        request=req, dispatch_s=now, complete_s=now,
-                        replica=None, batch_size=0, cache_hit=False,
-                        output=None, status="shed")
-                else:
-                    pending.append(req)
-                    push(req.arrival_s + self.policy.max_wait_s,
-                         _DEADLINE, None)
-                    maybe_scale_up(now)
-                metrics.observe("serve/queue_depth", len(pending))
-                if monitor is not None:
-                    monitor.record("serve/queue_depth", len(pending), t=now)
-                    monitor.record("serve/shed_event", shed_this, t=now)
-            # _DEADLINE events carry no state; they exist to wake the
-            # batcher at the max-wait boundary
-            try_dispatch(now)
-            maybe_scale_down(now)
-            if pending and not heap:
-                # all arrivals and completions processed but requests
-                # remain queued: wake at the earliest dispatch opportunity
-                wake = min(min(free_at(r) for r in range(self.n_replicas)
-                               if active[r]),
-                           pending[0].arrival_s + self.policy.max_wait_s)
-                push(max(wake, now), _DEADLINE, None)
-
-        # ---------------- close out: roots, gauges ---------------- #
-        for r, opened in window_open.items():
-            replica_seconds[r] += duration - opened
-        metrics.gauge("serve/replica_seconds", sum(replica_seconds))
-        utilization: dict[int, float] = {}
-        for r in range(self.n_replicas):
-            util = busy_s[r] / duration if duration else 0.0
-            utilization[r] = util
-            metrics.inc(f"serve/replica/{r}/busy_s", busy_s[r])
-            metrics.gauge(f"serve/replica/{r}/utilization", util)
+                monitor.event("scale_up", t=now, replica=r,
+                              queue_depth=len(pending), active=sum(active))
             spans.append(Span(
-                name="serve/replica", cat="serve", rank=self.home_rank(r),
-                start_s=0.0, dur_s=duration, depth=0,
-                args={"replica": r, "ranks": self.replica_ranks(r),
-                      "utilization": util,
-                      "active_s": replica_seconds[r], "modeled": True}))
-        if self.cache is not None:
-            metrics.gauge("serve/cache/hit_rate", self.cache.hit_rate)
-            metrics.gauge("serve/cache/size", len(self.cache))
-        metrics.gauge("serve/duration_s", duration)
-        if duration:
-            metrics.gauge("serve/throughput_rps", len(responses) / duration)
-        ordered = [responses[rid] for rid in sorted(responses)]
-        if any(resp is None for resp in ordered):
-            raise RuntimeError("scheduler dropped a request")  # unreachable
-        return ServeResult(responses=ordered, spans=spans, metrics=metrics,
-                           duration_s=duration, n_replicas=self.n_replicas,
-                           gpus_per_replica=self.gpus_per_replica,
-                           utilization=utilization)
-
-    # ------------------------------------------------------------------ #
-    # the tile-granular event loop
-    # ------------------------------------------------------------------ #
-    def _run_tiled(self, requests: list[Request], monitor=None) -> ServeResult:
-        """Serve with the tile as the scheduling unit.
-
-        Each admitted request is split into its plan's halo tiles; hits
-        resolve from the tile cache at arrival, misses become tile
-        *jobs*.  Jobs are deduplicated by key across requests (two
-        requests wanting the same tile content share one compute — the
-        second becomes a waiter) and batched per halo-shape signature so
-        every dispatched batch replays one compiled program.  A request
-        responds when its last tile resolves; the reassembled output is
-        bitwise identical to the whole-request path.
-        """
-        plan = self.tile_plan
-        n_t = plan.n_tiles
-        clock = SimClock.frozen()
-        metrics = MetricsRegistry()
-        spans: list[Span] = []
-        responses: dict[int, Response] = {}
-        pending: list[dict] = []        # FIFO queue of missed-tile jobs
-        open_jobs: dict[str, dict] = {}  # key -> job, queued or in flight
-        assemblies: dict[int, dict] = {}  # rid -> in-progress reassembly
-        busy_s = [0.0] * self.n_replicas
-        free = [0.0] * self.n_replicas
-        batches = 0
-        start_active = (self.autoscale.min_replicas
-                        if self.autoscale is not None else self.n_replicas)
-        active = [r < start_active for r in range(self.n_replicas)]
-        window_open: dict[int, float] = {r: 0.0 for r in range(start_active)}
-        replica_seconds = [0.0] * self.n_replicas
-        last_scale = float("-inf")
-
-        heap: list[tuple[float, int, int, object]] = []
-        seq = 0
-
-        def push(t: float, kind: int, payload) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (t, kind, seq, payload))
-            seq += 1
-
-        for req in sorted(requests, key=lambda r: (r.arrival_s, r.rid)):
-            if req.rid in responses:
-                raise ValueError(f"duplicate request id {req.rid}")
-            responses[req.rid] = None
-            push(req.arrival_s, _ARRIVAL, req)
-
-        def tile_key(req: Request, i: int) -> str:
-            return plan.tile_key(i, input=req.input,
-                                 versions=req.tile_versions,
-                                 sample=req.sample, epoch=self.plan_epoch)
-
-        def maybe_scale_up(now: float) -> None:
-            au = self.autoscale
-            if au is None:
-                return
-            nonlocal last_scale
-            n_act = sum(active)
-            if (n_act < self.n_replicas
-                    and len(pending) >= au.scale_up_depth * n_act
-                    and now - last_scale >= au.cooldown_s):
-                r = active.index(False)
-                active[r] = True
-                free[r] = max(free[r], now + au.spinup_s)
-                window_open[r] = now
-                last_scale = now
-                metrics.inc("serve/scale_up")
-                if monitor is not None:
-                    monitor.event("scale_up", t=now, replica=r,
-                                  queue_depth=len(pending),
-                                  active=sum(active))
-                spans.append(Span(
-                    name="serve/scale_up", cat="serve",
-                    rank=self.home_rank(r), start_s=now, dur_s=au.spinup_s,
-                    depth=1, args={"replica": r, "queue_depth": len(pending),
-                                   "modeled": True}))
-                push(now + au.spinup_s, _DEADLINE, None)
+                name="serve/scale_up", cat="serve", rank=self.home_rank(r),
+                start_s=now, dur_s=au.spinup_s, depth=1,
+                args={"replica": r, "queue_depth": len(pending),
+                      "modeled": True}))
+            push(now + au.spinup_s, _DEADLINE, None)
 
         def maybe_scale_down(now: float) -> None:
-            au = self.autoscale
-            if au is None or pending:
-                return
             nonlocal last_scale
-            if sum(active) <= au.min_replicas or now - last_scale < au.cooldown_s:
+            au = self.autoscale
+            if (au is None or pending or sum(active) <= au.min_replicas
+                    or now - last_scale < au.cooldown_s):
                 return
             for r in reversed(range(self.n_replicas)):
                 if active[r] and free[r] <= now:
@@ -772,26 +484,34 @@ class DownscalingService:
                     break
 
         def try_dispatch(now: float) -> None:
-            nonlocal batches
             while pending:
                 idle = [r for r in range(self.n_replicas)
                         if active[r] and free[r] <= now]
                 if not idle:
                     return
-                # the batch leads with the oldest job's signature: tiles
-                # in one batch share a halo shape, so one compiled plan
-                # serves the whole forward
-                sig = pending[0]["sig"]
-                same_sig = [j for j in pending if j["sig"] == sig]
-                full = len(same_sig) >= self.policy.max_batch
-                due = pending[0]["arrival_s"] + self.policy.max_wait_s <= now
-                if not (full or due):
+                # the deadline event was scheduled at exactly
+                # arrival + max_wait_s, so this comparison is exact
+                due = pending[0].arrival_s + policy.max_wait_s <= now
+                if not due and len(pending) < policy.max_batch:
                     return
-                batch = same_sig[: self.policy.max_batch]
-                taken = set(map(id, batch))
-                pending[:] = [j for j in pending if id(j) not in taken]
+                # the batch leads with the oldest unit's signature: units
+                # in one batch share an input shape, so one compiled plan
+                # serves the whole forward
+                sig, batch = pending[0].sig, []
+                for unit in pending:
+                    if unit.sig == sig:
+                        batch.append(unit)
+                        if len(batch) == policy.max_batch:
+                            break
+                if not (due or len(batch) == policy.max_batch):
+                    return
+                if batch[-1] is pending[len(batch) - 1]:
+                    del pending[:len(batch)]     # the batch is the head
+                else:
+                    taken = set(map(id, batch))
+                    pending[:] = [u for u in pending if id(u) not in taken]
                 replica = idle[0]
-                dur = float(self.tile_service_time(len(batch), sig))
+                dur = float(front.price(len(batch), sig))
                 if dur < 0.0:
                     raise ValueError(
                         "service_time returned a negative duration")
@@ -800,47 +520,29 @@ class DownscalingService:
                 for rank in self.replica_ranks(replica):
                     clock.advance(rank, max(0.0, end - clock.now(rank)))
                 busy_s[replica] += dur
-                batches += 1
                 metrics.inc("serve/batches")
                 metrics.inc(f"serve/replica/{replica}/batches")
                 metrics.observe("serve/batch_size", len(batch))
-                metrics.observe("serve/tile/batch_occupancy",
-                                len(batch) / self.policy.max_batch)
                 spans.append(Span(
                     name="serve/batch", cat="serve",
                     rank=self.home_rank(replica), start_s=now, dur_s=dur,
-                    depth=1,
-                    args={"replica": replica, "batch_size": len(batch),
-                          "tiles": [j["tile"] for j in batch],
-                          "signature": list(sig), "modeled": True}))
-                # child spans: the dispatch overhead leads, then the
-                # tiles run back to back inside the batch window
-                dispatch_s = getattr(self.tile_service_time,
-                                     "dispatch_s", 0.0)
-                tile_s = max(0.0, dur - dispatch_s) / len(batch)
-                t0 = now + (dur - tile_s * len(batch))
-                for k, j in enumerate(batch):
-                    spans.append(Span(
-                        name="serve/tile", cat="serve",
-                        rank=self.home_rank(replica),
-                        start_s=t0 + k * tile_s, dur_s=tile_s, depth=2,
-                        args={"tile": j["tile"],
-                              "waiters": len(j["waiters"]),
-                              "modeled": True}))
-                outputs = None
-                if self._runner is not None:
-                    outputs = [self._execute_tile(j["input"], j["tile"])
-                               for j in batch]
+                    depth=1, args={"replica": replica,
+                                   "batch_size": len(batch),
+                                   **front.batch_args(batch, sig),
+                                   "modeled": True}))
+                front.dispatched(batch, replica, now, dur)
+                outputs = ([front.execute(u) for u in batch]
+                           if self._runner is not None else None)
                 push(end, _COMPLETE, (replica, batch, now, outputs))
 
-        def respond(req: Request, dispatch_s: float, complete_s: float,
-                    replica: int | None, batch_size: int, cache_hit: bool,
-                    output, hits: int, computed: int) -> None:
+        def respond(asm: _Assembly, dispatch_s: float, complete_s: float,
+                    replica: int | None, batch_size: int,
+                    cache_hit: bool) -> None:
+            req = asm.req
             responses[req.rid] = Response(
                 request=req, dispatch_s=dispatch_s, complete_s=complete_s,
                 replica=replica, batch_size=batch_size, cache_hit=cache_hit,
-                output=output, tiles=n_t, tiles_hit=hits,
-                tiles_computed=computed)
+                output=front.assemble(asm.parts), **front.fields(asm))
             metrics.inc("serve/requests")
             metrics.observe("serve/latency_s", complete_s - req.arrival_s)
             metrics.observe("serve/queue_wait_s", dispatch_s - req.arrival_s)
@@ -854,115 +556,96 @@ class DownscalingService:
             duration = max(duration, now)
             if kind == _COMPLETE:
                 replica, batch, start, outputs = payload
-                for idx, job in enumerate(batch):
-                    core = outputs[idx] if outputs is not None else True
-                    if self.cache is not None:
-                        evicted_before = self.cache.evictions
-                        self.cache.put(job["key"], core)
-                        metrics.inc("serve/cache/evictions",
-                                    self.cache.evictions - evicted_before)
-                    open_jobs.pop(job["key"], None)
-                    for rid, tile in job["waiters"]:
+                for idx, unit in enumerate(batch):
+                    output = outputs[idx] if outputs is not None else None
+                    if cache is not None:
+                        evicted = cache.put(unit.key, output) is not None
+                        metrics.inc("serve/cache/evictions", evicted)
+                    open_units.pop(unit.key, None)
+                    for rid, slot in unit.waiters:
                         asm = assemblies[rid]
-                        asm["remaining"] -= 1
-                        asm["computed"] += 1
-                        if asm["cores"] is not None:
-                            asm["cores"][tile] = core
-                        if asm["dispatch_s"] is None:
-                            asm["dispatch_s"] = start
-                        if asm["remaining"] == 0:
-                            req = asm["req"]
-                            output = None
-                            if asm["cores"] is not None:
-                                output = self._assemble(asm["cores"])
-                            # a coalesced tile may have been dispatched
+                        asm.remaining -= 1
+                        asm.parts[slot] = output
+                        # with several replicas an earlier-dispatched
+                        # batch can complete later: keep the earliest
+                        asm.dispatch_s = min(asm.dispatch_s, start)
+                        if asm.remaining == 0:
+                            del assemblies[rid]
+                            # a coalesced unit may have been dispatched
                             # before this request arrived — queue wait
                             # is never negative
-                            dispatch = max(asm["dispatch_s"], req.arrival_s)
-                            respond(req, dispatch, now, replica, len(batch),
-                                    cache_hit=False, output=output,
-                                    hits=asm["hits"],
-                                    computed=asm["computed"])
-                            del assemblies[rid]
+                            respond(asm, max(asm.dispatch_s,
+                                             asm.req.arrival_s),
+                                    now, replica, len(batch), False)
             elif kind == _ARRIVAL:
                 req = payload
                 shed_this = 0.0
-                keys = [tile_key(req, i) for i in range(n_t)]
-                # membership pre-check (touches no cache counters): the
-                # shed decision must not pollute hit/miss accounting
-                needs_new = [
-                    i for i, k in enumerate(keys)
-                    if k not in open_jobs
-                    and (self.cache is None or k not in self.cache)]
+                keys, found, needs_new = front.probe(req, open_units)
                 if (needs_new and self.max_queue_depth is not None
                         and len(pending) >= self.max_queue_depth):
+                    # admission control: the queue is full — shed rather
+                    # than let it (and tail latency) grow without bound.
+                    # Shed responses stay out of the latency histograms so
+                    # rejections can't masquerade as fast service.
                     metrics.inc("serve/shed")
                     metrics.inc("serve/requests")
                     shed_this = 1.0
                     responses[req.rid] = Response(
                         request=req, dispatch_s=now, complete_s=now,
                         replica=None, batch_size=0, cache_hit=False,
-                        output=None, status="shed", tiles=n_t)
+                        output=None, status="shed",
+                        **front.fields(_Assembly(req, [], 0, 0)))
                 else:
-                    cores = [None] * n_t if self._runner is not None else None
-                    hits = 0
-                    remaining = 0
-                    for i in range(n_t):
-                        value = _MISS_SENTINEL
-                        if self.cache is not None:
-                            value = self.cache.get(keys[i], _MISS_SENTINEL)
+                    parts = [None] * len(keys)
+                    hits = remaining = created = 0
+                    for i, key in enumerate(keys):
+                        value = (found[i] if found is not None
+                                 else front.lookup(key))
                         if value is not _MISS_SENTINEL:
                             hits += 1
-                            metrics.inc("serve/tile/hits")
-                            if cores is not None:
-                                cores[i] = value
+                            parts[i] = value
                             continue
-                        metrics.inc("serve/tile/misses")
                         remaining += 1
-                        job = open_jobs.get(keys[i])
-                        if job is not None:
-                            # identical tile already queued or in flight
+                        unit = open_units.get(key) if front.coalesced else None
+                        if unit is not None:
+                            # identical unit already queued or in flight
                             # (another request, or a duplicate-content
                             # tile of this one): wait on its compute
-                            job["waiters"].append((req.rid, i))
-                            metrics.inc("serve/tile/coalesced")
+                            unit.waiters.append((req.rid, i))
+                            metrics.inc(front.coalesced)
                         else:
-                            job = {"key": keys[i], "tile": i,
-                                   "sig": plan.signature(i),
-                                   "arrival_s": now, "input": req.input,
-                                   "waiters": [(req.rid, i)]}
-                            open_jobs[keys[i]] = job
-                            pending.append(job)
+                            unit = _Unit(key, i, front.sigs[i], now,
+                                         req.input, [(req.rid, i)])
+                            if front.coalesced:
+                                open_units[key] = unit
+                            pending.append(unit)
+                            created += 1
+                    asm = _Assembly(req, parts, remaining, hits)
                     if remaining == 0:
                         end = now + self.hit_latency_s
                         duration = max(duration, end)
-                        output = (self._assemble(cores)
-                                  if cores is not None else None)
-                        respond(req, now, end, None, 1, cache_hit=True,
-                                output=output, hits=hits, computed=0)
+                        respond(asm, now, end, None, 1, True)
                     else:
-                        assemblies[req.rid] = {
-                            "req": req, "cores": cores,
-                            "remaining": remaining, "hits": hits,
-                            "computed": 0, "dispatch_s": None,
-                        }
-                        if needs_new:
-                            push(req.arrival_s + self.policy.max_wait_s,
+                        assemblies[req.rid] = asm
+                        if created:
+                            push(req.arrival_s + policy.max_wait_s,
                                  _DEADLINE, None)
                         maybe_scale_up(now)
-                    if monitor is not None:
-                        monitor.record("serve/tile_miss_rate",
-                                       remaining / n_t, t=now)
+                    front.admitted(remaining, now)
                 metrics.observe("serve/queue_depth", len(pending))
                 if monitor is not None:
                     monitor.record("serve/queue_depth", len(pending), t=now)
                     monitor.record("serve/shed_event", shed_this, t=now)
+            # _DEADLINE events carry no state; they exist to wake the
+            # batcher at the max-wait boundary
             try_dispatch(now)
             maybe_scale_down(now)
             if pending and not heap:
+                # all arrivals and completions processed but units remain
+                # queued: wake at the earliest dispatch opportunity
                 wake = min(min(free[r] for r in range(self.n_replicas)
                                if active[r]),
-                           pending[0]["arrival_s"] + self.policy.max_wait_s)
+                           pending[0].arrival_s + policy.max_wait_s)
                 push(max(wake, now), _DEADLINE, None)
 
         # ---------------- close out: roots, gauges ---------------- #
@@ -981,13 +664,10 @@ class DownscalingService:
                 args={"replica": r, "ranks": self.replica_ranks(r),
                       "utilization": util,
                       "active_s": replica_seconds[r], "modeled": True}))
-        if self.cache is not None:
-            metrics.gauge("serve/cache/hit_rate", self.cache.hit_rate)
-            metrics.gauge("serve/cache/size", len(self.cache))
-        th = metrics.counters.get("serve/tile/hits", 0.0)
-        tm = metrics.counters.get("serve/tile/misses", 0.0)
-        metrics.gauge("serve/tile/hit_rate",
-                      th / (th + tm) if th + tm else 0.0)
+        if cache is not None:
+            metrics.gauge("serve/cache/hit_rate", cache.hit_rate)
+            metrics.gauge("serve/cache/size", len(cache))
+        front.close()
         metrics.gauge("serve/duration_s", duration)
         if duration:
             metrics.gauge("serve/throughput_rps", len(responses) / duration)
@@ -998,3 +678,173 @@ class DownscalingService:
                            duration_s=duration, n_replicas=self.n_replicas,
                            gpus_per_replica=self.gpus_per_replica,
                            utilization=utilization)
+
+
+# ---------------------------------------------------------------------- #
+# units of work and the per-mode front ends
+# ---------------------------------------------------------------------- #
+@dataclass(slots=True)
+class _Unit:
+    """One schedulable forward: a whole request, or one tile of one.
+    ``waiters`` are the ``(rid, slot)`` pairs its output resolves."""
+
+    key: str | None
+    index: int
+    sig: tuple[int, int] | None
+    arrival_s: float
+    input: np.ndarray | None
+    waiters: list[tuple[int, int]]
+
+
+@dataclass(slots=True)
+class _Assembly:
+    """An admitted request waiting on its units: ``parts`` fills in as
+    batches complete; ``dispatch_s`` is the earliest unit start."""
+
+    req: Request
+    parts: list
+    remaining: int
+    hits: int
+    dispatch_s: float = float("inf")
+
+
+class _Requests:
+    """Whole-request front end: a request is one unit, keyed by content
+    hash, run through :meth:`DownscalingService._execute` and priced by
+    ``service_time(B)``; reassembly is the identity.  Everything that
+    differs between the serving modes is decided by a front end."""
+
+    hits, misses = "serve/cache/hits", "serve/cache/misses"
+    coalesced = None    # in-flight duplicates each compute their own unit
+    sigs = (None,)      # every unit batches with every other
+
+    def __init__(self, service: DownscalingService, metrics, spans, monitor):
+        self.service, self.metrics = service, metrics
+        self.cache, self.spans, self.monitor = service.cache, spans, monitor
+
+    def probe(self, req: Request, open_units) -> tuple:
+        """``(keys, found, needs_new)`` at arrival, before the shed
+        decision.  Whole requests look the cache up (counted) first, so
+        a hit is answered even when the queue is full."""
+        if self.cache is None:
+            return [None], [_MISS_SENTINEL], True
+        key = (content_key(req.input) if req.input is not None
+               else f"sample:{req.sample}")
+        value = self.lookup(key)
+        return [key], [value], value is _MISS_SENTINEL
+
+    def lookup(self, key):
+        """One counted cache probe (a miss when there is no cache)."""
+        value = (_MISS_SENTINEL if self.cache is None
+                 else self.cache.get(key, _MISS_SENTINEL))
+        self.metrics.inc(self.misses if value is _MISS_SENTINEL
+                         else self.hits)
+        return value
+
+    def price(self, batch_size: int, sig) -> float:
+        return self.service.service_time(batch_size)
+
+    def execute(self, unit: _Unit) -> np.ndarray:
+        return self.service._execute(unit.input)
+
+    def assemble(self, parts: list):
+        return parts[0]
+
+    def batch_args(self, batch: list[_Unit], sig) -> dict:
+        return {"rids": [u.waiters[0][0] for u in batch]}
+
+    def fields(self, asm: _Assembly) -> dict:
+        """Extra :class:`Response` fields (the ``tiles*`` stay 0 here)."""
+        return {}
+
+    def dispatched(self, *args) -> None:
+        """Tile-only observability hooks; whole requests have none."""
+
+    admitted = close = dispatched
+
+
+class _Tiles(_Requests):
+    """Tile front end: a request is ``n_tiles`` units keyed by
+    :meth:`TilePlan.tile_key`, run one tile each, priced by
+    ``tile_service_time(B, sig)`` and stitched back by :meth:`assemble`.
+    Identical tiles in flight are coalesced across requests."""
+
+    hits, misses = "serve/tile/hits", "serve/tile/misses"
+    coalesced = "serve/tile/coalesced"
+
+    def __init__(self, service, metrics, spans, monitor):
+        super().__init__(service, metrics, spans, monitor)
+        self.plan = service.tile_plan
+        self.n_tiles = self.plan.n_tiles
+        self.sigs = [self.plan.signature(i) for i in range(self.n_tiles)]
+        self.price = service.tile_service_time   # (batch_size, sig)
+
+    def probe(self, req, open_units):
+        """Keys plus an uncounted membership pre-check, so a shed
+        request never moves the hit/miss counters; admitted tiles are
+        then looked up one by one."""
+        epoch = self.service.plan_epoch
+        keys = [self.plan.tile_key(i, input=req.input,
+                                   versions=req.tile_versions,
+                                   sample=req.sample, epoch=epoch)
+                for i in range(self.n_tiles)]
+        cache = self.cache
+        needs_new = any(k not in open_units
+                        and (cache is None or k not in cache) for k in keys)
+        return keys, None, needs_new
+
+    def execute(self, unit):
+        """One tile forward as :class:`TiledDownscaler` runs it: slice the
+        halo region, run the *inner* model (compiled per tile when
+        ``compile=True``), return the frozen normalized core."""
+        spec = self.plan.specs[unit.index]
+        with no_grad():
+            out = self.service._runner.model(
+                extract_tile(Tensor(unit.input[None]), spec)).data
+        return self.plan.crop_core(out, unit.index)
+
+    def assemble(self, parts):
+        """Stitch normalized cores (``stitch_tiles`` arithmetic), then
+        denormalize — :meth:`DownscalingService._execute` op for op, so
+        the bytes match a whole-request forward whichever tiles hit."""
+        if self.service._runner is None:
+            return None
+        pred = self.plan.assemble(parts)
+        if self.service._target_normalizer is not None:
+            pred = self.service._target_normalizer.denormalize(pred)
+        return pred
+
+    def batch_args(self, batch, sig):
+        return {"tiles": [u.index for u in batch], "signature": list(sig)}
+
+    def fields(self, asm):
+        return {"tiles": self.n_tiles, "tiles_hit": asm.hits,
+                "tiles_computed": len(asm.parts) - asm.hits}
+
+    def dispatched(self, batch, replica, start, dur):
+        service = self.service
+        self.metrics.observe("serve/tile/batch_occupancy",
+                             len(batch) / service.policy.max_batch)
+        # child spans: the dispatch overhead leads, then the tiles run
+        # back to back inside the batch window
+        dispatch_s = getattr(service.tile_service_time, "dispatch_s", 0.0)
+        tile_s = max(0.0, dur - dispatch_s) / len(batch)
+        t0 = start + (dur - tile_s * len(batch))
+        for k, unit in enumerate(batch):
+            self.spans.append(Span(
+                name="serve/tile", cat="serve",
+                rank=service.home_rank(replica),
+                start_s=t0 + k * tile_s, dur_s=tile_s, depth=2,
+                args={"tile": unit.index, "waiters": len(unit.waiters),
+                      "modeled": True}))
+
+    def admitted(self, remaining, now):
+        if self.monitor is not None:
+            self.monitor.record("serve/tile_miss_rate",
+                                remaining / self.n_tiles, t=now)
+
+    def close(self):
+        th = self.metrics.counters.get(self.hits, 0.0)
+        tm = self.metrics.counters.get(self.misses, 0.0)
+        self.metrics.gauge("serve/tile/hit_rate",
+                           th / (th + tm) if th + tm else 0.0)

@@ -3,10 +3,16 @@
 Both features are scheduling-only: they decide *whether* and *where* a
 request runs, never what a model computes, so every assertion here is
 about queue bounds, response statuses, and replica-second accounting.
+
+Every class runs twice: as written (whole-request serving) and through
+its ``...Tiles`` subclass, which reruns each test with the tile as the
+unit of work — there the queue holds tile jobs, so one admitted
+request can push the depth up to ``N_TILES - 1`` past the shed bound.
 """
 
 import pytest
 
+from repro.distributed.perf_model import TileServiceTimeModel
 from repro.serve import (
     AutoscalePolicy,
     BatchPolicy,
@@ -15,6 +21,8 @@ from repro.serve import (
     TrafficGenerator,
 )
 
+N_TILES = 4
+
 
 def _burst(n=80, spacing_s=0.001):
     """A hard burst: n requests arriving far faster than one replica drains."""
@@ -22,18 +30,33 @@ def _burst(n=80, spacing_s=0.001):
             for i in range(n)]
 
 
-def _service(**kw):
+def _service(tiled=False, **kw):
     kw.setdefault("policy", BatchPolicy(max_batch=4, max_wait_s=0.002))
+    if tiled:
+        # every tile batch takes 20 ms, like the whole-request batches
+        kw.setdefault("service_time",
+                      TileServiceTimeModel(0.02, {(0, 0): 0.0}))
+        kw.update(n_tiles=N_TILES, halo=1, coarse_shape=(8, 16),
+                  tile_serving=True)
     kw.setdefault("service_time", lambda b: 0.02)
     return DownscalingService(**kw)
 
 
-class TestAdmissionControl:
+class _Mode:
+    TILED = False
+    # tile jobs one admitted request can queue beyond the shed bound
+    DEPTH_SLACK = 0
+
+    def _service(self, **kw):
+        return _service(self.TILED, **kw)
+
+
+class TestAdmissionControl(_Mode):
     def test_queue_depth_is_bounded_and_overflow_sheds(self):
-        service = _service(n_replicas=1, max_queue_depth=10)
+        service = self._service(n_replicas=1, max_queue_depth=10)
         result = service.run(_burst())
         summary = result.summary()
-        assert summary["queue_depth_max"] <= 10
+        assert summary["queue_depth_max"] <= 10 + self.DEPTH_SLACK
         assert summary["shed"] > 0
         shed = [r for r in result.responses if r.status == "shed"]
         served = [r for r in result.responses if r.status == "ok"]
@@ -43,28 +66,33 @@ class TestAdmissionControl:
             assert r.replica is None and r.batch_size == 0
 
     def test_shed_responses_stay_out_of_latency_histograms(self):
-        service = _service(n_replicas=1, max_queue_depth=5)
+        service = self._service(n_replicas=1, max_queue_depth=5)
         result = service.run(_burst())
         served = sum(1 for r in result.responses if r.status == "ok")
         assert result.metrics.histograms["serve/latency_s"].count == served
 
     def test_unbounded_queue_sheds_nothing(self):
-        service = _service(n_replicas=1)
+        service = self._service(n_replicas=1)
         result = service.run(_burst())
         assert result.summary()["shed"] == 0
         assert all(r.status == "ok" for r in result.responses)
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
-            _service(n_replicas=1, max_queue_depth=0)
+            self._service(n_replicas=1, max_queue_depth=0)
 
 
-class TestAutoscaler:
+class TestAdmissionControlTiles(TestAdmissionControl):
+    TILED = True
+    DEPTH_SLACK = N_TILES - 1
+
+
+class TestAutoscaler(_Mode):
     POLICY = AutoscalePolicy(min_replicas=1, scale_up_depth=4,
                              cooldown_s=0.01, spinup_s=0.002)
 
     def test_burst_triggers_scale_up_then_idle_scale_down(self):
-        service = _service(n_replicas=4, autoscale=self.POLICY)
+        service = self._service(n_replicas=4, autoscale=self.POLICY)
         summary = service.run(_burst()).summary()
         assert summary["scale_ups"] > 0
         assert summary["scale_downs"] > 0
@@ -72,14 +100,14 @@ class TestAutoscaler:
 
     def test_autoscaled_fleet_spends_fewer_replica_seconds(self):
         """Same burst, same p99: the scaled fleet bills less capacity."""
-        static = _service(n_replicas=4).run(_burst()).summary()
-        scaled = _service(n_replicas=4, autoscale=self.POLICY) \
+        static = self._service(n_replicas=4).run(_burst()).summary()
+        scaled = self._service(n_replicas=4, autoscale=self.POLICY) \
             .run(_burst()).summary()
         assert scaled["replica_seconds"] < static["replica_seconds"]
         assert scaled["latency_p99_s"] <= static["latency_p99_s"] * 1.5
 
     def test_static_fleet_reports_full_replica_seconds(self):
-        result = _service(n_replicas=2).run(_burst())
+        result = self._service(n_replicas=2).run(_burst())
         summary = result.summary()
         assert summary["replica_seconds"] == pytest.approx(
             2 * summary["duration_s"])
@@ -88,13 +116,14 @@ class TestAutoscaler:
         policy = AutoscalePolicy(min_replicas=2, scale_up_depth=4,
                                  cooldown_s=0.01, spinup_s=0.002)
         with pytest.raises(ValueError, match="min_replicas"):
-            _service(n_replicas=1, autoscale=policy)
+            self._service(n_replicas=1, autoscale=policy)
 
     def test_determinism(self):
         gen = TrafficGenerator("burst", 60.0, 3.0, seed=5, n_inputs=8)
         requests = gen.generate()
         runs = [
-            _service(n_replicas=3, autoscale=self.POLICY).run(requests).summary()
+            self._service(n_replicas=3, autoscale=self.POLICY)
+            .run(requests).summary()
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -104,3 +133,7 @@ class TestAutoscaler:
             AutoscalePolicy(min_replicas=0)
         with pytest.raises(ValueError):
             AutoscalePolicy(scale_up_depth=0)
+
+
+class TestAutoscalerTiles(TestAutoscaler):
+    TILED = True

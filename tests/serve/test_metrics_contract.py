@@ -183,3 +183,103 @@ class TestSpanContract:
         _, _, result = run
         assert result.spans, "a serve run must emit spans"
         assert all(s.args.get("modeled") for s in result.spans)
+
+
+# --------------------------------------------------------------------- #
+# the same contract with the tile as the unit of work
+# --------------------------------------------------------------------- #
+N_TILES = 4
+
+
+def _tile_service(**kw):
+    return DownscalingService(
+        policy=BatchPolicy(max_batch=4, max_wait_s=0.03), n_tiles=N_TILES,
+        halo=1, coarse_shape=(8, 16), tile_serving=True, **kw)
+
+
+@pytest.fixture(scope="module")
+def tile_run():
+    """The burst of ``run`` through the tile-granular service; the cache
+    holds half of the 12 inputs' 48 tile keys, so it hits and evicts."""
+    gen = TrafficGenerator("burst", 40.0, 6.0, seed=9, n_inputs=12,
+                           popularity=1.2)
+    requests = gen.generate()
+    service = _tile_service(n_replicas=N_REPLICAS, gpus_per_replica=2,
+                            cache=TileCache(24))
+    return service, requests, service.run(requests)
+
+
+class _Tiles:
+    """Reruns the inherited tests on :func:`tile_run`."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tile_run):
+        return tile_run
+
+
+class TestLatencyHistogramsTiles(_Tiles, TestLatencyHistograms):
+    pass
+
+
+class TestQueueDepthTiles(_Tiles, TestQueueDepth):
+    def test_sampled_once_per_arrival_and_bounded(self, run):
+        _, requests, result = run
+        depth = result.metrics.histograms["serve/queue_depth"]
+        assert depth.count == len(requests)
+        assert depth.min >= 0
+        # the queue holds tile jobs: at most every tile of every request
+        assert depth.max <= len(requests) * N_TILES
+        assert result.summary()["queue_depth_max"] == depth.max
+
+    def test_burst_pushes_the_queue_deeper_than_steady(self):
+        def depth_max(scenario):
+            gen = TrafficGenerator(scenario, 40.0, 6.0, seed=9, n_inputs=12)
+            service = _tile_service(n_replicas=1)
+            return service.run(gen.generate()).summary()["queue_depth_max"]
+
+        assert depth_max("burst") > depth_max("steady")
+
+
+class TestCacheMetricsTiles(_Tiles, TestCacheMetrics):
+    def test_counters_match_cache_and_responses(self, run):
+        service, _, result = run
+        c = result.metrics.counters
+        hits = sum(r.tiles_hit for r in result.responses)
+        misses = sum(r.tiles - r.tiles_hit for r in result.responses)
+        assert hits, "burst traffic over 12 inputs must produce tile hits"
+        assert all(r.tiles == N_TILES for r in result.responses)
+        assert c["serve/tile/hits"] == service.cache.hits == hits
+        assert c["serve/tile/misses"] == service.cache.misses == misses
+        assert "serve/cache/hits" not in c and "serve/cache/misses" not in c
+        assert c["serve/cache/evictions"] == service.cache.evictions
+        assert service.cache.evictions > 0, (
+            "capacity 24 < 48 tile keys must evict")
+
+    def test_hit_rate_gauge_is_hits_over_lookups(self, run):
+        _, _, result = run
+        c = result.metrics.counters
+        rate = result.metrics.gauges["serve/tile/hit_rate"]
+        assert rate == pytest.approx(
+            c["serve/tile/hits"]
+            / (c["serve/tile/hits"] + c["serve/tile/misses"]))
+        assert result.summary()["tile_hit_rate"] == rate
+        assert result.metrics.gauges["serve/cache/hit_rate"] == rate
+
+
+class TestSpanContractTiles(_Tiles, TestSpanContract):
+    def test_batch_counter_matches_spans_and_sizes_cover_misses(self, run):
+        _, _, result = run
+        c = result.metrics.counters
+        batch_spans = [s for s in result.spans if s.name == "serve/batch"]
+        tile_spans = [s for s in result.spans if s.name == "serve/tile"]
+        assert c["serve/batches"] == len(batch_spans)
+        sizes = result.metrics.histograms["serve/batch_size"]
+        assert sizes.count == len(batch_spans)
+        # every missed tile is computed once; coalesced ones wait on it
+        computed = c["serve/tile/misses"] - c.get("serve/tile/coalesced", 0)
+        assert sizes.total == len(tile_spans) == computed
+        assert sum(len(s.args["tiles"]) for s in batch_spans) == computed
+        assert sum(r.tiles_computed for r in result.responses) \
+            == c["serve/tile/misses"]
+        occupancy = result.metrics.histograms["serve/tile/batch_occupancy"]
+        assert occupancy.count == len(batch_spans)

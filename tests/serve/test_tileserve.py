@@ -27,6 +27,7 @@ from repro.serve import (
     ROLLING,
     BatchPolicy,
     DownscalingService,
+    Request,
     TileCache,
     TilePlan,
     TrafficGenerator,
@@ -256,6 +257,45 @@ class TestTiledBitwiseServing:
                                coarse_shape=COARSE)
         with pytest.raises(ValueError, match="coarse_shape"):
             DownscalingService(model, n_tiles=4, halo=2, tile_serving=True)
+
+
+class _ScriptedTileTime:
+    """Tile pricing that returns a fixed duration per dispatch, in order."""
+
+    dispatch_s = 0.0
+
+    def __init__(self, durations):
+        self.durations = list(durations)
+
+    def tile_time(self, shape=None):
+        return 0.0
+
+    def __call__(self, batch_size, shape=None):
+        return self.durations.pop(0)
+
+
+class TestTileQueueWait:
+    def test_dispatch_is_the_earliest_tile_batch_start(self):
+        """Two replicas, one tile per batch.  Request P occupies replica
+        0 until t=1.0 and replica 1 until t=0.1.  Request R (t=0.05)
+        then gets tile 0 on replica 1 at t=0.1 (done at 2.1) and tile 1
+        on replica 0 at t=1.0 (done at 1.1): the later-dispatched batch
+        finishes first, yet R's queue wait ends at the earlier start."""
+        svc = DownscalingService(
+            n_replicas=2, policy=BatchPolicy(max_batch=1, max_wait_s=0.0),
+            n_tiles=2, halo=0, coarse_shape=COARSE, tile_serving=True,
+            service_time=_ScriptedTileTime([1.0, 0.1, 2.0, 0.1]))
+        reqs = [Request(rid=0, arrival_s=0.0, sample=0, tile_versions=(0, 0)),
+                Request(rid=1, arrival_s=0.05, sample=1,
+                        tile_versions=(1, 1))]
+        result = svc.run(reqs)
+        r = {resp.request.rid: resp for resp in result.responses}[1]
+        assert r.dispatch_s == 0.1
+        assert r.complete_s == 2.1
+        assert r.queue_wait_s == pytest.approx(0.05)
+        starts = sorted(s.start_s for s in result.spans
+                        if s.name == "serve/batch")
+        assert starts == [0.0, 0.0, 0.1, 1.0]
 
 
 # --------------------------------------------------------------------- #
