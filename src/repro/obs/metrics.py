@@ -89,7 +89,10 @@ class MetricsRegistry:
         self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
-        self.histograms.setdefault(name, Histogram()).observe(value)
+        hist = self.histograms.get(name)
+        if hist is None:  # build (and seed) a histogram once per name
+            hist = self.histograms[name] = Histogram()
+        hist.observe(value)
 
     def reset(self) -> None:
         self.counters.clear()

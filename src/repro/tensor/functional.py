@@ -9,6 +9,8 @@ arithmetic is precomputed gather/scatter tables.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import Tensor, _unbroadcast
@@ -326,14 +328,17 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
 # --------------------------------------------------------------------- #
 # interpolation
 # --------------------------------------------------------------------- #
+@lru_cache(maxsize=64)
 def _bilinear_tables(in_size: int, out_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index/weight tables for 1-D bilinear resize (align_corners=False)."""
+    """Read-only index/weight tables for 1-D bilinear resize (align_corners=False)."""
     scale = in_size / out_size
     coords = (np.arange(out_size, dtype=np.float64) + 0.5) * scale - 0.5
     coords = np.clip(coords, 0.0, in_size - 1.0)
     lo = np.floor(coords).astype(np.int64)
     hi = np.minimum(lo + 1, in_size - 1)
     w_hi = (coords - lo).astype(np.float32)
+    for table in (lo, hi, w_hi):
+        table.setflags(write=False)
     return lo, hi, w_hi
 
 
@@ -349,22 +354,24 @@ def bilinear_upsample(x: Tensor, out_h: int, out_w: int) -> Tensor:
     n, c, h, w = a.shape
     ylo, yhi, wy = _bilinear_tables(h, out_h)
     xlo, xhi, wx = _bilinear_tables(w, out_w)
+    wy_lo, wy_hi = (1.0 - wy)[:, None], wy[:, None]
+    wx_lo, wx_hi = 1.0 - wx, wx
 
     def interp(data: np.ndarray) -> np.ndarray:
-        rows = data[..., ylo, :] * (1.0 - wy)[:, None] + data[..., yhi, :] * wy[:, None]
-        return rows[..., :, xlo] * (1.0 - wx) + rows[..., :, xhi] * wx
+        rows = data[..., ylo, :] * wy_lo + data[..., yhi, :] * wy_hi
+        return rows[..., :, xlo] * wx_lo + rows[..., :, xhi] * wx_hi
 
-    out_data = interp(a.data).astype(np.float32)
+    out_data = interp(a.data).astype(np.float32, copy=False)
 
     def backward(g):
         # adjoint of the column interp
         g_rows = np.zeros((n, c, out_h, w), dtype=np.float32)
-        np.add.at(g_rows, (slice(None), slice(None), slice(None), xlo), g * (1.0 - wx))
-        np.add.at(g_rows, (slice(None), slice(None), slice(None), xhi), g * wx)
+        np.add.at(g_rows, (slice(None), slice(None), slice(None), xlo), g * wx_lo)
+        np.add.at(g_rows, (slice(None), slice(None), slice(None), xhi), g * wx_hi)
         # adjoint of the row interp
         gx = np.zeros((n, c, h, w), dtype=np.float32)
-        np.add.at(gx, (slice(None), slice(None), ylo, slice(None)), g_rows * (1.0 - wy)[:, None])
-        np.add.at(gx, (slice(None), slice(None), yhi, slice(None)), g_rows * wy[:, None])
+        np.add.at(gx, (slice(None), slice(None), ylo, slice(None)), g_rows * wy_lo)
+        np.add.at(gx, (slice(None), slice(None), yhi, slice(None)), g_rows * wy_hi)
         return ((a, gx),)
 
     def replay():
@@ -408,11 +415,15 @@ def im2col(data: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """Extract sliding ``k x k`` patches from an NCHW array.
 
     Returns shape ``(N, C*k*k, out_h*out_w)`` using a strided view plus a
-    single copy (no Python loops over pixels).
+    single copy (no Python loops over pixels).  Padding writes the input
+    into a zeroed buffer, so with ``k == 1`` the result may be a
+    read-only view of ``data`` or of that buffer.
     """
     n, c, h, w = data.shape
     if pad:
-        data = np.pad(data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=data.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = data
+        data = padded
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
     s0, s1, s2, s3 = data.strides
@@ -445,12 +456,28 @@ def col2im_shape(
     return padded
 
 
+def _conv_gemm(cols: np.ndarray, w2: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Forward GEMM ``(N*L, K) @ (K, O)``, viewed back as ``(N, O, H, W)``
+    (memory order ``(N, H, W, O)``)."""
+    n, kk, l = cols.shape
+    prod = cols.transpose(0, 2, 1).reshape(n * l, kk) @ w2.T
+    return prod.reshape(n, out_h, out_w, w2.shape[0]).transpose(0, 3, 1, 2)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) on NCHW input.
 
-    ``weight`` has shape ``(out_c, in_c, k, k)``.  Forward and backward run
-    through im2col so the heavy lifting is one big GEMM per pass, matching
-    the guide's "turn loops into matmul" idiom.
+    ``weight`` has shape ``(out_c, in_c, k, k)``.  Each pass is one GEMM
+    over the im2col patches (``K = in_c*k*k``, ``L = out_h*out_w``):
+
+    * forward ``(N*L, K) @ (K, O)``;
+    * weight gradient ``(K, N*L) @ (N*L, O)``, then transposed;
+    * input gradient ``(N*L, O) @ (O, K)``, viewed as ``(N, K, L)`` and
+      scattered back by :func:`col2im_shape`.
+
+    The output is a view of the forward product, laid out in
+    ``(N, H, W, O)`` memory order; float32 reductions downstream follow
+    memory order, so that layout is part of the op's bitwise contract.
     """
     a, wgt = x, weight
     n, in_c, h, w = a.shape
@@ -459,6 +486,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         raise ValueError(f"weight shape {wgt.shape} incompatible with input {a.shape}")
     out_h = _conv_out_size(h, k, stride, pad)
     out_w = _conv_out_size(w, k, stride, pad)
+    n_cols = in_c * k * k
+    n_rows = n * out_h * out_w
 
     from .flops import add_flops
 
@@ -469,23 +498,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
     cols_live = np.shares_memory(cols, a.data)
     if not cols_live and not cols.flags.writeable:
         cols = cols.copy()
-    w2 = wgt.data.reshape(out_c, in_c * k * k)
+    w2 = wgt.data.reshape(out_c, n_cols)
     conv_macs = float(n) * out_c * out_h * out_w * in_c * k * k
     add_flops(2.0 * conv_macs)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    out = out.reshape(n, out_c, out_h, out_w).astype(np.float32)
+    out = _conv_gemm(cols, w2, out_h, out_w).astype(np.float32, copy=False)
     if bias is not None:
-        out = out + bias.data.reshape(1, out_c, 1, 1)
+        out += bias.data.reshape(1, out_c, 1, 1)  # out is fresh: in-place is safe
 
     parents = (a, wgt) if bias is None else (a, wgt, bias)
 
     def backward(g):
         add_flops(4.0 * conv_macs)
-        g2 = g.reshape(n, out_c, out_h * out_w)
-        gw = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(wgt.shape)
-        gcols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
+        g_rows = g.reshape(n, out_c, out_h * out_w).transpose(0, 2, 1).reshape(n_rows, out_c)
+        gw = (cols.transpose(1, 0, 2).reshape(n_cols, n_rows) @ g_rows).T
+        gcols = (g_rows @ w2).reshape(n, out_h * out_w, n_cols).transpose(0, 2, 1)
         gx = col2im_shape(gcols, a.shape, k, stride, pad)
-        grads = [(a, gx), (wgt, gw.astype(np.float32))]
+        grads = [(a, gx), (wgt, gw.reshape(wgt.shape).astype(np.float32, copy=False))]
         if bias is not None:
             grads.append((bias, g.sum(axis=(0, 2, 3))))
         return tuple(grads)
@@ -496,8 +524,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, pad:
         if not cols_live:
             np.copyto(cols, im2col(a.data, k, stride, pad))
         add_flops(2.0 * conv_macs)
-        fresh = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        fresh = fresh.reshape(n, out_c, out_h, out_w)
+        fresh = _conv_gemm(cols, w2, out_h, out_w)
         if bias is not None:
             np.add(fresh, bias.data.reshape(1, out_c, 1, 1), out=out)
         else:

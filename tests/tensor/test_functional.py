@@ -94,6 +94,15 @@ class TestBilinear:
         out = bilinear_upsample(Tensor(x), 4, 8).data[0, 0, 0]
         assert np.all(np.diff(out) >= 0)  # monotone along ramp
 
+    def test_tables_memoized_and_read_only(self):
+        from repro.tensor.functional import _bilinear_tables
+
+        tables = _bilinear_tables(4, 16)
+        assert _bilinear_tables(4, 16) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
+
 
 class TestPixelShuffle:
     def test_roundtrip(self):
